@@ -14,14 +14,16 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# The concurrency-heavy robustness packages under the race detector at
-# -count=2: the client guard/hedge/cancel races, the bypass READ-vs-
-# eviction-vs-crash soak in cluster, the replication forward/ack/scrub
-# engine, and the history checker. A named subset of `race`, kept
-# separate so a detector hit points straight at the robustness suite
+# The concurrency-critical packages under the race detector at -count=2:
+# the simulation kernel's direct goroutine handoff and run-to-completion
+# callbacks (sim), fabric delivery and verbs send completions, which run
+# as callbacks (simnet, verbs), the client guard/hedge/cancel races, the
+# bypass READ-vs-eviction-vs-crash soak in cluster, the replication
+# forward/ack/scrub engine, and the history checker. A named subset of
+# `race`, kept separate so a detector hit points straight at these suites
 # (and so it stays cheap enough to run on every edit).
 race-robustness:
-	$(GO) test -race -count=2 ./internal/core ./internal/cluster ./internal/replication ./internal/history
+	$(GO) test -race -count=2 ./internal/sim ./internal/simnet ./internal/verbs ./internal/core ./internal/cluster ./internal/replication ./internal/history
 
 # Run every registered experiment end to end at a tiny operation count.
 smoke:

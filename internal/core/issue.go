@@ -343,7 +343,7 @@ func (c *Client) spawnGuard(req *Req, o issueOpts) {
 		}
 		pol := *o.retry
 		pol.fill()
-		rng := rand.New(rand.NewSource(pol.Seed ^ int64(req.ID)*0x9e3779b9))
+		var rng *rand.Rand // built on the first jittered backoff
 		backoff := pol.Backoff
 		for {
 			wait := pol.AttemptTimeout
@@ -370,6 +370,9 @@ func (c *Client) spawnGuard(req *Req, o issueOpts) {
 			}
 			d := backoff
 			if pol.Jitter > 0 {
+				if rng == nil {
+					rng = rand.New(rand.NewSource(pol.Seed ^ int64(req.ID)*0x9e3779b9))
+				}
 				d += sim.Time(float64(backoff) * pol.Jitter * rng.Float64())
 			}
 			if req.retryAfter > d {

@@ -1,21 +1,34 @@
 // Package sim implements a deterministic discrete-event simulation kernel.
 //
-// Every actor in the simulated cluster (client, server worker, NIC engine,
-// SSD channel, writeback daemon, ...) runs as a Proc: a goroutine that
-// executes under a virtual clock owned by an Env. The kernel enforces a
-// strict scheduler/process handoff, so exactly one process runs at any
-// instant. Shared simulation state therefore needs no locking, results are
+// Every actor in the simulated cluster that blocks (client, server worker,
+// NIC engine, SSD channel, writeback daemon, ...) runs as a Proc: a goroutine
+// that executes under a virtual clock owned by an Env. Short jobs that never
+// block (a fabric delivery, a send completion one propagation delay after
+// delivery) run as callbacks instead: Env.At and Event.OnFire schedule a
+// plain func that runs to completion at its instant, with no goroutine of
+// its own.
+//
+// Pending wakeups sit in one heap ordered by (time, seq). A callback takes
+// exactly the slot a process spawned or woken at the same point would take,
+// so turning a process that never blocks into a callback leaves the order of
+// every event unchanged. Exactly one goroutine runs simulation code at any
+// instant, and control moves by direct handoff: a process that parks or
+// finishes pops the heap itself, runs any callbacks due first, and resumes
+// the next process, or simply carries on when the next wakeup is its own.
+// Control returns to the goroutine inside Run only when the heap is empty,
+// the RunUntil limit is reached, or a process or callback has panicked.
+// Shared simulation state therefore needs no locking, results are
 // bit-for-bit reproducible, and virtual time advances with nanosecond
 // precision regardless of host timer resolution.
 //
 // The blocking primitives (Sleep, Event.Wait, Queue.Get/Put,
 // Resource.Acquire) must only be called from inside the owning process's
-// goroutine. Non-blocking variants (TryGet, TryPut, Fire, ...) may be called
-// from any process, or from outside the simulation before Run starts.
+// goroutine, never from a callback. Non-blocking variants (TryGet, TryPut,
+// Fire, ...) may be called from any process or callback, or from outside the
+// simulation before Run starts.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"runtime/debug"
 	"time"
@@ -33,58 +46,82 @@ const (
 	Second      = time.Second
 )
 
-// wakeup is a pending reason for a process to resume. A process may have
-// several outstanding wakeups (e.g. an event wait plus a timeout); whichever
-// is delivered first cancels the rest.
+// wakeup is a pending reason for a process to resume, or a callback to run.
+// A process may have several outstanding wakeups (e.g. an event wait plus a
+// timeout); whichever is delivered first cancels the rest.
 type wakeup struct {
 	at       Time
 	seq      int64
-	p        *Proc
-	tag      int // cause identifier, returned to the parked process
+	p        *Proc  // process to resume; nil for a callback
+	fn       func() // callback run to completion when p is nil
+	tag      int    // cause identifier, returned to the parked process
 	canceled bool
-	index    int // position in the heap, -1 if not scheduled
+	queued   bool // on the heap
 }
 
+// before orders wakeups by time, then by scheduling sequence.
+func before(a, b *wakeup) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
+}
+
+// wakeupHeap is a binary min-heap of wakeups in (at, seq) order.
 type wakeupHeap []*wakeup
 
-func (h wakeupHeap) Len() int { return len(h) }
-func (h wakeupHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (h *wakeupHeap) push(w *wakeup) {
+	w.queued = true
+	s := append(*h, w)
+	i := len(s) - 1
+	for i > 0 {
+		up := (i - 1) / 2
+		if !before(w, s[up]) {
+			break
+		}
+		s[i] = s[up]
+		i = up
 	}
-	return h[i].seq < h[j].seq
+	s[i] = w
+	*h = s
 }
-func (h wakeupHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *wakeupHeap) Push(x any) {
-	w := x.(*wakeup)
-	w.index = len(*h)
-	*h = append(*h, w)
-}
-func (h *wakeupHeap) Pop() any {
-	old := *h
-	n := len(old)
-	w := old[n-1]
-	old[n-1] = nil
-	w.index = -1
-	*h = old[:n-1]
-	return w
+
+func (h *wakeupHeap) pop() *wakeup {
+	s := *h
+	top := s[0]
+	n := len(s) - 1
+	last := s[n]
+	s[n] = nil
+	s = s[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && before(s[r], s[c]) {
+				c = r
+			}
+			if !before(s[c], last) {
+				break
+			}
+			s[i] = s[c]
+			i = c
+		}
+		s[i] = last
+	}
+	*h = s
+	top.queued = false
+	return top
 }
 
 // Env owns the virtual clock and the event queue of one simulation.
 type Env struct {
-	now     Time
-	seq     int64
-	heap    wakeupHeap
-	yield   chan struct{}
-	cur     *Proc
-	parked  int // processes alive but blocked with no scheduled wakeup
-	alive   int
-	stopped bool
-	fault   any // first panic value raised by a process
+	now   Time
+	seq   int64
+	heap  wakeupHeap
+	limit Time          // latest wakeup time the current RunUntil delivers; < 0 for none
+	yield chan struct{} // hands control back to the goroutine inside RunUntil
+	alive int
+	fault any // first panic value raised by a process or callback
 }
 
 // NewEnv returns a fresh simulation environment with the clock at zero.
@@ -96,7 +133,7 @@ func NewEnv() *Env {
 func (e *Env) Now() Time { return e.now }
 
 // Alive returns the number of processes that have been spawned and have not
-// yet finished.
+// yet finished. Callbacks are not processes and never count.
 func (e *Env) Alive() int { return e.alive }
 
 // Proc is one simulated process. All blocking kernel primitives take place
@@ -108,7 +145,6 @@ type Proc struct {
 	pending  []*wakeup
 	wokenTag int
 	xfer     any // value slot for queue handoff
-	done     bool
 }
 
 // Name returns the process name given at Spawn time.
@@ -122,7 +158,7 @@ func (p *Proc) Now() Time { return p.env.now }
 
 // Spawn creates a new process executing fn and schedules it to start at the
 // current virtual time. It may be called before Run, or from any running
-// process.
+// process or callback.
 func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 	return e.SpawnAt(e.now, name, fn)
 }
@@ -146,20 +182,32 @@ func (e *Env) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
 			}()
 			fn(p)
 		}()
-		p.done = true
 		e.alive--
-		e.yield <- struct{}{}
+		e.switchTo(e.advance())
 	}()
 	e.scheduleWakeup(t, p, 0)
 	return p
 }
 
+// At schedules fn to run at virtual time t (no earlier than now) as a
+// callback. It takes the (time, seq) slot SpawnAt would give a process, so
+// a callback and a process due at the same instant run in the order they
+// were scheduled. fn runs to completion in whichever goroutine is
+// dispatching: it must not block, and it never counts in Alive.
+func (e *Env) At(t Time, fn func()) {
+	if t < e.now {
+		t = e.now
+	}
+	e.seq++
+	e.heap.push(&wakeup{at: t, seq: e.seq, fn: fn})
+}
+
 // scheduleWakeup enqueues a wakeup for p at time t and returns it.
 func (e *Env) scheduleWakeup(t Time, p *Proc, tag int) *wakeup {
 	e.seq++
-	w := &wakeup{at: t, seq: e.seq, p: p, tag: tag, index: -1}
+	w := &wakeup{at: t, seq: e.seq, p: p, tag: tag}
 	p.pending = append(p.pending, w)
-	heap.Push(&e.heap, w)
+	e.heap.push(w)
 	return w
 }
 
@@ -168,29 +216,89 @@ func (e *Env) scheduleWakeup(t Time, p *Proc, tag int) *wakeup {
 // when fired/served).
 func (e *Env) pendingWakeup(p *Proc, tag int) *wakeup {
 	e.seq++
-	w := &wakeup{seq: e.seq, p: p, tag: tag, index: -1}
+	w := &wakeup{seq: e.seq, p: p, tag: tag}
 	p.pending = append(p.pending, w)
 	return w
 }
 
 // fireWakeup schedules a previously pending wakeup to deliver now.
 func (e *Env) fireWakeup(w *wakeup) {
-	if w.canceled || w.index >= 0 {
+	if w.canceled || w.queued {
 		return
 	}
 	w.at = e.now
 	e.seq++
 	w.seq = e.seq
-	heap.Push(&e.heap, w)
+	e.heap.push(w)
+}
+
+// advance delivers due wakeups in (at, seq) order from whichever goroutine
+// holds control. Callbacks run inline; the first process wakeup has its
+// process's other pending wakeups canceled, and that process is returned to
+// run next. advance returns nil when control belongs back in RunUntil: the
+// heap is empty, the next wakeup lies past the limit, or a process or
+// callback has panicked.
+func (e *Env) advance() *Proc {
+	for e.fault == nil && len(e.heap) > 0 {
+		w := e.heap[0]
+		if w.canceled {
+			e.heap.pop()
+			continue
+		}
+		if e.limit >= 0 && w.at > e.limit {
+			return nil
+		}
+		e.heap.pop()
+		if w.at > e.now {
+			e.now = w.at
+		}
+		p := w.p
+		if p == nil {
+			e.call(w.fn)
+			continue
+		}
+		for _, o := range p.pending {
+			if o != w {
+				o.canceled = true
+			}
+		}
+		p.pending = p.pending[:0]
+		p.wokenTag = w.tag
+		return p
+	}
+	return nil
+}
+
+// call runs a callback, capturing a panic so that RunUntil re-raises it in
+// its caller's goroutine, whichever goroutine dispatched the callback.
+func (e *Env) call(fn func()) {
+	defer func() {
+		if r := recover(); r != nil && e.fault == nil {
+			e.fault = fmt.Errorf("sim: callback panicked: %v\n%s", r, debug.Stack())
+		}
+	}()
+	fn()
+}
+
+// switchTo resumes next, or hands control back to RunUntil if next is nil.
+func (e *Env) switchTo(next *Proc) {
+	if next != nil {
+		next.resume <- struct{}{}
+	} else {
+		e.yield <- struct{}{}
+	}
 }
 
 // park blocks the calling process until one of its pending wakeups is
 // delivered, and returns that wakeup's tag. All other pending wakeups are
-// canceled.
+// canceled. The parking process dispatches the next wakeup itself, and when
+// that wakeup is its own it carries on without a goroutine switch.
 func (p *Proc) park() int {
 	e := p.env
-	e.yield <- struct{}{}
-	<-p.resume
+	if next := e.advance(); next != p {
+		e.switchTo(next)
+		<-p.resume
+	}
 	return p.wokenTag
 }
 
@@ -200,42 +308,19 @@ func (p *Proc) park() int {
 func (e *Env) Run() Time { return e.RunUntil(-1) }
 
 // RunUntil executes scheduled wakeups with time ≤ limit (limit < 0 means no
-// limit) and returns the virtual time reached.
+// limit) and returns the virtual time reached. A panic raised by a process
+// or callback is re-raised here.
 func (e *Env) RunUntil(limit Time) Time {
-	for e.heap.Len() > 0 {
-		w := e.heap[0]
-		if w.canceled {
-			heap.Pop(&e.heap)
-			continue
-		}
-		if limit >= 0 && w.at > limit {
-			e.now = limit
-			return e.now
-		}
-		heap.Pop(&e.heap)
-		if w.at > e.now {
-			e.now = w.at
-		}
-		p := w.p
-		// Deliver: cancel the process's other pending wakeups.
-		for _, o := range p.pending {
-			if o != w {
-				o.canceled = true
-			}
-		}
-		p.pending = p.pending[:0]
-		p.wokenTag = w.tag
-		e.cur = p
-		p.resume <- struct{}{}
+	e.limit = limit
+	if next := e.advance(); next != nil {
+		next.resume <- struct{}{}
 		<-e.yield
-		e.cur = nil
-		if e.fault != nil {
-			f := e.fault
-			e.fault = nil
-			panic(f)
-		}
 	}
-	if limit >= 0 && limit > e.now {
+	if f := e.fault; f != nil {
+		e.fault = nil
+		panic(f)
+	}
+	if limit > e.now {
 		e.now = limit
 	}
 	return e.now
@@ -314,6 +399,17 @@ func (p *Proc) Wait(ev *Event) {
 	p.park()
 }
 
+// OnFire registers fn to run as a callback when ev fires, in the slot a
+// process calling Wait at this point would be woken in. If ev has already
+// fired, fn runs at once, just as Wait returns at once. fn must not block.
+func (ev *Event) OnFire(fn func()) {
+	if ev.fired {
+		fn()
+		return
+	}
+	ev.waiters = append(ev.waiters, &wakeup{fn: fn})
+}
+
 // tags distinguishing wakeup causes for multi-cause parks.
 const (
 	tagDefault = 0
@@ -364,7 +460,7 @@ func (e *Env) AnyOf(evs ...*Event) *Event {
 		}
 	}
 	for _, ev := range evs {
-		ev.onFire(func() { out.Fire() })
+		ev.observe(func() { out.Fire() })
 	}
 	return out
 }
@@ -386,7 +482,7 @@ func (e *Env) AllOf(evs ...*Event) *Event {
 		if ev.fired {
 			continue
 		}
-		ev.onFire(func() {
+		ev.observe(func() {
 			remaining--
 			if remaining == 0 {
 				out.Fire()
@@ -396,22 +492,14 @@ func (e *Env) AllOf(evs ...*Event) *Event {
 	return out
 }
 
-// callbacks: internal-only observer used by AnyOf/AllOf. Implemented by
-// spawning a tiny waiter process so delivery ordering stays within the
-// kernel's single-runner discipline.
-func (ev *Event) onFire(fn func()) {
-	ev.env.Spawn("event-observer", func(p *Proc) {
-		p.Wait(ev)
-		fn()
-	})
-}
-
-// At schedules fn to run in a fresh process at virtual time t.
-func (e *Env) At(t Time, name string, fn func(p *Proc)) {
-	e.SpawnAt(t, name, fn)
+// observe runs fn once ev has fired. The At(now) hop before registering
+// gives the observer the (time, seq) slot of a process spawned here to Wait
+// on ev, so AnyOf and AllOf fire their output in that same order.
+func (ev *Event) observe(fn func()) {
+	ev.env.At(ev.env.now, func() { ev.OnFire(fn) })
 }
 
 // String renders the env state, for debugging.
 func (e *Env) String() string {
-	return fmt.Sprintf("sim.Env{now=%v scheduled=%d alive=%d}", e.now, e.heap.Len(), e.alive)
+	return fmt.Sprintf("sim.Env{now=%v scheduled=%d alive=%d}", e.now, len(e.heap), e.alive)
 }

@@ -202,8 +202,9 @@ func (n *Node) Name() string { return n.name }
 // Fabric returns the owning fabric.
 func (n *Node) Fabric() *Fabric { return n.fabric }
 
-// SetReceiver installs the delivery callback. It runs in a fresh process at
-// delivery time and must not block for long (spawn work elsewhere).
+// SetReceiver installs the delivery callback. It runs as a sim callback at
+// delivery time, so it must not block: spawn a process for any work that
+// waits.
 func (n *Node) SetReceiver(fn func(m *Message)) { n.receiver = fn }
 
 // txEngine drains the NIC transmit queue, charging serialization time per
@@ -250,7 +251,7 @@ func (n *Node) txEngine(p *sim.Proc) {
 		for i := 0; i < copies; i++ {
 			// A duplicate trails the original by one receiver-CPU slot.
 			at := deliverAt + sim.Time(i)*f.spec.RecvCPU
-			f.env.SpawnAt(at, "deliver:"+dst.name, func(dp *sim.Proc) {
+			f.env.At(at, func() {
 				dst.RxBytes += int64(msg.Size)
 				dst.RxMsgs++
 				out.Delivered.Fire()

@@ -427,10 +427,13 @@ func (qp *QP) start(wr SendWR) *simnet.Outgoing {
 		wrID, op, size := wr.WRID, wr.Op, wr.Size
 		localQPN := qp.qpn
 		sendCQ := qp.sendCQ
-		d.env.Spawn("ack-wait", func(p *sim.Proc) {
-			p.Wait(out.Delivered)
-			p.Sleep(prop)
-			sendCQ.push(Completion{WRID: wrID, Op: op, QPN: localQPN, Bytes: size})
+		env := d.env
+		env.At(env.Now(), func() {
+			out.Delivered.OnFire(func() {
+				env.At(env.Now()+prop, func() {
+					sendCQ.push(Completion{WRID: wrID, Op: op, QPN: localQPN, Bytes: size})
+				})
+			})
 		})
 	}
 	return out
